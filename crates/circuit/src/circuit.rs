@@ -834,6 +834,17 @@ impl Circuit {
         self.instructions().iter()
     }
 
+    /// The instructions in program order, by value, read straight from
+    /// the arena: unlike [`Self::iter`], this never materializes (or
+    /// caches) the compact list. Prefer it for a one-shot walk of a
+    /// circuit that was just edited, where the materialized list would
+    /// be an O(circuit) allocation the next edit throws away.
+    pub(crate) fn iter_live(&self) -> impl Iterator<Item = Instruction> + '_ {
+        self.arena
+            .live_slots()
+            .map(move |s| self.arena.instruction_at(s))
+    }
+
     /// The instructions as a slice (materialized lazily from the arena
     /// and cached until the next mutation).
     #[inline]
@@ -1033,8 +1044,15 @@ impl Circuit {
 
     /// Computes the dense `2^n × 2^n` unitary of the circuit.
     ///
-    /// Built column-by-column with statevector kernels, which is far
-    /// cheaper than chained matrix products.
+    /// The row-major `dim × dim` buffer is read as a `2n`-qubit state
+    /// whose high `n` bits index the row and low `n` bits the column, so
+    /// one statevector-kernel call per gate — on the row qubits — moves
+    /// every column at once. Each column's amplitudes see exactly the
+    /// arithmetic, in the same order, that simulating it alone
+    /// ([`Self::apply_to_state`] on a basis vector) would give them, so
+    /// the result is bit-identical to the column-by-column construction,
+    /// at one gate-table lookup per gate instead of one per gate and
+    /// column.
     ///
     /// # Panics
     ///
@@ -1048,19 +1066,12 @@ impl Circuit {
             self.n_qubits
         );
         let dim = 1usize << self.n_qubits;
-        let mut m = Mat::zeros(dim, dim);
-        let mut col = vec![C64::ZERO; dim];
+        let mut data = vec![C64::ZERO; dim * dim];
         for j in 0..dim {
-            for z in col.iter_mut() {
-                *z = C64::ZERO;
-            }
-            col[j] = C64::ONE;
-            self.apply_to_state(&mut col);
-            for i in 0..dim {
-                m[(i, j)] = col[i];
-            }
+            data[j * dim + j] = C64::ONE;
         }
-        m
+        self.apply_gates(&mut data, 2 * self.n_qubits);
+        Mat::from_vec(dim, dim, data)
     }
 
     /// Applies the circuit to a statevector in place.
@@ -1073,6 +1084,14 @@ impl Circuit {
     /// Panics if `state.len() != 2^n`.
     pub fn apply_to_state(&self, state: &mut [C64]) {
         assert_eq!(state.len(), 1usize << self.n_qubits, "state length");
+        self.apply_gates(state, self.n_qubits);
+    }
+
+    /// Applies every gate, in order, to the leading `self.n_qubits` of
+    /// an `n`-qubit state (`n ≥ self.n_qubits`; qubit 0 is the most
+    /// significant bit, so the trailing `n − self.n_qubits` qubits are
+    /// spectators — the column index of [`Self::unitary`]).
+    fn apply_gates(&self, state: &mut [C64], n: usize) {
         let mut buf = [C64::ZERO; 64];
         let mut qs = [0usize; 3];
         for ins in self.iter() {
@@ -1081,7 +1100,7 @@ impl Circuit {
                 *d = q as usize;
             }
             let dim = ins.gate.unitary_into(&mut buf);
-            apply_gate_slice(state, self.n_qubits, &qs[..k], &buf[..dim * dim]);
+            apply_gate_slice(state, n, &qs[..k], &buf[..dim * dim]);
         }
     }
 

@@ -83,24 +83,39 @@ pub fn to_qasm_line(circuit: &Circuit) -> String {
 /// text itself is identical between the multi-line and single-line
 /// forms, so `from_qasm(to_qasm_line(c))` and `from_qasm(to_qasm(c))`
 /// produce the same circuit bit for bit.
+///
+/// Every statement is written straight into one pre-sized `String`,
+/// walking the arena without materializing the compact instruction
+/// list: no per-gate allocation, so a checkpoint render of a large
+/// circuit costs one buffer. Angle formatting dominates what is left,
+/// so repeated angles are copied from their earlier rendering
+/// ([`ParamMemo`]).
 fn render_qasm(circuit: &Circuit, sep: &str) -> String {
-    let mut s = String::new();
+    // ~32 bytes covers a one-parameter gate on two operands.
+    let mut s = String::with_capacity(64 + 32 * circuit.len());
     s.push_str("OPENQASM 2.0;");
     s.push_str(sep);
     s.push_str("include \"qelib1.inc\";");
     s.push_str(sep);
     let _ = write!(s, "qreg q[{}];", circuit.num_qubits());
-    for ins in circuit.iter() {
+    let mut memo = ParamMemo::default();
+    for ins in circuit.iter_live() {
         s.push_str(sep);
+        s.push_str(ins.gate.name());
         let params = ins.gate.params();
-        if params.is_empty() {
-            let _ = write!(s, "{}", ins.gate.name());
-        } else {
-            let rendered: Vec<String> = params.iter().map(|&p| render_param(p)).collect();
-            let _ = write!(s, "{}({})", ins.gate.name(), rendered.join(","));
+        for (k, &p) in params.iter().enumerate() {
+            s.push(if k == 0 { '(' } else { ',' });
+            memo.write(&mut s, p);
         }
-        let qs: Vec<String> = ins.qubits().iter().map(|q| format!("q[{q}]")).collect();
-        let _ = write!(s, " {};", qs.join(","));
+        if !params.is_empty() {
+            s.push(')');
+        }
+        for (k, &q) in ins.qubits().iter().enumerate() {
+            s.push_str(if k == 0 { " q[" } else { ",q[" });
+            push_index(&mut s, q);
+            s.push(']');
+        }
+        s.push(';');
     }
     if sep == "\n" {
         s.push('\n');
@@ -108,25 +123,95 @@ fn render_qasm(circuit: &Circuit, sep: &str) -> String {
     s
 }
 
-/// Renders an angle so that [`from_qasm`] recovers the exact `f64`.
+/// Appends `v` in decimal (what `write!(s, "{v}")` prints, without the
+/// formatting machinery).
+fn push_index(s: &mut String, mut v: Qubit) {
+    let mut digits = [0u8; 10];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    s.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
+
+/// A direct-mapped cache from an angle's bits to where its rendering
+/// already sits in the output, so each distinct angle is formatted
+/// about once per document. Real circuits repeat a handful of angles
+/// (T-family phases after a rebase, shared variational parameters), and
+/// the copy is byte-identical to a fresh [`write_param`] by
+/// construction. Lives on the stack: the renderer stays allocation-free
+/// beyond its output buffer.
+struct ParamMemo {
+    /// `(bits, start, end)`: the rendering of the angle with these bits
+    /// is `s[start..end]`; `end == 0` marks an empty slot (the header
+    /// precedes every angle, so no rendering ends at 0).
+    slots: [(u64, u32, u32); 64],
+}
+
+impl Default for ParamMemo {
+    fn default() -> Self {
+        ParamMemo {
+            slots: [(0, 0, 0); 64],
+        }
+    }
+}
+
+impl ParamMemo {
+    fn write(&mut self, s: &mut String, p: f64) {
+        let bits = p.to_bits();
+        let slot = &mut self.slots[(bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58) as usize];
+        let (key, start, end) = *slot;
+        if end != 0 && key == bits {
+            s.extend_from_within(start as usize..end as usize);
+            return;
+        }
+        let start = s.len();
+        write_param(s, p);
+        // Offsets past u32 (a multi-GiB document) just stop memoizing.
+        if let (Ok(start), Ok(end)) = (u32::try_from(start), u32::try_from(s.len())) {
+            *slot = (bits, start, end);
+        }
+    }
+}
+
+/// Appends an angle to `s` so that [`from_qasm`] recovers the exact
+/// `f64`.
 ///
 /// 17 fractional digits are enough for any magnitude ≥ 0.1 (and match
 /// the historical golden-fixture format byte for byte), but lose
 /// significant digits for smaller magnitudes — `0.015590366766198294`
 /// truncates one digit short. Escalate precision only when the fixed
 /// width fails to parse back, so established output bytes never change.
-fn render_param(p: f64) -> String {
-    let s = format!("{p:.17}");
-    if s.parse::<f64>() == Ok(p) {
-        return s;
+/// Below ~1e-23 even 40 digits print only zeros; there the search jumps
+/// past the leading fractional zeros, where 17 significant digits
+/// always recover a finite value. A NaN keeps the fixed width.
+fn write_param(s: &mut String, p: f64) {
+    let start = s.len();
+    let _ = write!(s, "{p:.17}");
+    // From 0.1 up, 17 fractional digits are at least 17 significant
+    // ones, which always parse back to the same double: skip the check.
+    if p.abs() >= 0.1 || s[start..].parse::<f64>() == Ok(p) {
+        return;
     }
-    for prec in 18..=40usize {
-        let s = format!("{p:.prec$}");
-        if s.parse::<f64>() == Ok(p) {
-            return s;
+    let zeros = if p.is_finite() {
+        (-p.abs().log10()).floor().max(0.0) as usize
+    } else {
+        0
+    };
+    for prec in (18..=40usize).chain(zeros.max(41)..=zeros + 20) {
+        s.truncate(start);
+        let _ = write!(s, "{p:.prec$}");
+        if s[start..].parse::<f64>() == Ok(p) {
+            return;
         }
     }
-    s
+    s.truncate(start);
+    let _ = write!(s, "{p:.17}");
 }
 
 /// Parses an OpenQASM 2.0 document into a circuit.
@@ -525,7 +610,7 @@ mod tests {
     #[test]
     fn small_angles_roundtrip_exactly() {
         // Magnitudes below 0.1 need more than 17 fractional digits;
-        // render_param escalates precision until the parse recovers the
+        // write_param escalates precision until the parse recovers the
         // exact bits. Larger magnitudes keep the historical fixed-width
         // form so golden fixtures stay byte-identical.
         for &a in &[-0.015590366766198294, 1e-9, -3.2e-5, 0.1, -0.7, PI / 3.0] {
@@ -534,6 +619,11 @@ mod tests {
             let back = from_qasm(&to_qasm(&c)).unwrap();
             assert_eq!(back.instruction(0).gate, Gate::Rz(a), "angle {a:e}");
         }
+        let render_param = |p: f64| {
+            let mut s = String::new();
+            write_param(&mut s, p);
+            s
+        };
         assert_eq!(render_param(0.1), "0.10000000000000001");
         assert_eq!(render_param(2.25), "2.25000000000000000");
     }

@@ -296,18 +296,29 @@ impl Region {
     /// Extracts the member subcircuit with qubits renumbered to
     /// `0..qubits.len()` (by ascending global index). Returns the local
     /// circuit; the mapping back to global qubits is [`Self::qubits`].
+    ///
+    /// One walk of the window into one instruction buffer, with no
+    /// per-gate allocation: a gate is a member exactly when every
+    /// operand is found in the (sorted) qubit set, and the search that
+    /// decides it also yields the local index. The local circuit is
+    /// then built in bulk.
     pub fn extract(&self, circuit: &Circuit) -> Circuit {
-        let mut local = Circuit::new(self.qubits.len());
-        for j in self.member_indices(circuit) {
-            let ins = circuit.instructions()[j];
-            let qs: Vec<Qubit> = ins
-                .qubits()
-                .iter()
-                .map(|q| self.qubits.iter().position(|g| g == q).unwrap() as Qubit)
-                .collect();
-            local.push(ins.gate, &qs);
+        let window = &circuit.instructions()[self.lo..=self.hi];
+        let mut members = Vec::new();
+        let mut qs: [Qubit; 3] = [0; 3];
+        for ins in window {
+            let ops = ins.qubits();
+            let inside = ops.iter().zip(&mut qs).all(|(q, l)| {
+                self.qubits
+                    .binary_search(q)
+                    .map(|i| *l = i as Qubit)
+                    .is_ok()
+            });
+            if inside {
+                members.push(Instruction::new(ins.gate, &qs[..ops.len()]));
+            }
         }
-        local
+        Circuit::from_instructions(self.qubits.len(), members)
     }
 
     /// Expresses "replace the member gates with `replacement`" as a
@@ -417,9 +428,52 @@ mod tests {
                             .count();
                         assert!(hits == 0 || hits == ins.qubits().len());
                     }
+                    // The window starts and ends on member gates, so it
+                    // holds two or more members exactly when lo < hi.
+                    let members = r.member_indices(&c);
+                    assert_eq!(members.first(), Some(&r.lo()));
+                    assert_eq!(members.last(), Some(&r.hi()));
                 }
             }
         }
+    }
+
+    /// The member-by-member construction `extract` replaced: one
+    /// operand `Vec` and one linear qubit lookup per member gate.
+    fn extract_reference(r: &Region, c: &Circuit) -> Circuit {
+        let mut local = Circuit::new(r.qubits().len());
+        for j in r.member_indices(c) {
+            let ins = c.instructions()[j];
+            let qs: Vec<Qubit> = ins
+                .qubits()
+                .iter()
+                .map(|q| r.qubits().iter().position(|g| g == q).unwrap() as Qubit)
+                .collect();
+            local.push(ins.gate, &qs);
+        }
+        local
+    }
+
+    #[test]
+    fn extract_matches_member_walk_reference() {
+        let c = sample();
+        for anchor in 0..c.len() {
+            for maxq in 1..=4 {
+                if let Some(r) = Region::grow(&c, anchor, maxq) {
+                    assert_eq!(r.extract(&c), extract_reference(&r, &c), "anchor {anchor}");
+                }
+            }
+        }
+        // A spread qubit set with spectators inside the window.
+        let mut c = Circuit::new(6);
+        c.push(Gate::Cx, &[5, 1]);
+        c.push(Gate::H, &[3]);
+        c.push(Gate::Ccx, &[1, 5, 4]);
+        c.push(Gate::Cx, &[0, 2]);
+        c.push(Gate::Rz(0.25), &[4]);
+        let r = Region::from_window(&c, vec![5, 4, 1], 0, 4).unwrap();
+        assert_eq!(r.extract(&c), extract_reference(&r, &c));
+        assert_eq!(r.extract(&c).len(), 3);
     }
 
     #[test]

@@ -33,77 +33,126 @@ use std::time::Instant;
 /// Upper bound on the accepted-op backlog kept between two strict
 /// improvements. Plateau accepts are the common case, so a long
 /// non-improving stretch would otherwise grow the backlog without
-/// bound; past the cap the driver falls back to a before/after
-/// [`CircuitDelta::diff`] for the next `Improved` event (O(circuit)
-/// once per improvement, instead of O(backlog) memory forever).
+/// bound; past the cap the journal stops recording and the next strict
+/// improvement re-anchors it (and, with a sink installed, packages a
+/// before/after [`CircuitDelta::diff`] instead of the op chain) —
+/// O(circuit) once per improvement, instead of O(backlog) memory
+/// forever.
 const PENDING_OPS_CAP: usize = 4096;
 
-/// Upper bound on the best-journal op backlog (no-observer mode). A
-/// journal longer than this is truncated back to its best-prefix and
-/// marked dead; the next strict improvement re-anchors with one
-/// O(circuit) snapshot. Keeps plateau-heavy searches from growing the
-/// journal without bound while still amortizing snapshots to at most
-/// one per `BEST_JOURNAL_CAP` accepts.
-const BEST_JOURNAL_CAP: usize = 65536;
+/// Upper bound on the whole best-journal. Past it, the best-prefix is
+/// folded into the base circuit: no clone, and no extra work — every
+/// journaled op is replayed onto the base exactly once, at a fold or
+/// in [`ShardDriver::finish`]. A long run of small improvements so
+/// keeps the journal under this many patches without ever leaving
+/// journal mode.
+const BEST_JOURNAL_CAP: usize = 2 * PENDING_OPS_CAP;
 
-/// Iteration period of the [`OptEvent::Stats`] heartbeat in observer
-/// mode. A power of two so the check is one mask per iteration; at the
+/// Iteration period of the [`OptEvent::Stats`] heartbeat (sent only
+/// with an event sink installed). A power of two so the check is one mask per iteration; at the
 /// incremental engine's ~800k iters/sec this is a stats frame every
 /// ~0.3s — frequent enough to watch a fast/slow split move, rare enough
 /// to be free.
 const STATS_EVERY_ITERS: u64 = 1 << 18;
 
-/// How the driver remembers its best-so-far circuit.
+/// How the driver remembers its best-so-far circuit: a patch journal.
 ///
-/// Snapshotting the working circuit on every strict improvement is the
-/// last O(circuit) cost in the incremental engine's accept path, and
+/// Snapshotting the working circuit on every strict improvement would
+/// be an O(circuit) cost in the incremental engine's accept path, and
 /// improvements cluster early in a search — exactly when the circuit is
-/// largest. In no-observer mode the driver instead journals every
-/// accepted patch and remembers *how many* of them lead to the best:
-/// the best circuit is materialized once, in
-/// [`ShardDriver::finish`], by replaying that prefix onto the base
-/// snapshot. An event sink needs the materialized best on every
-/// improvement (it is handed to the observer), so observer mode keeps
-/// the snapshot-per-improvement representation.
-enum BestRepr {
-    /// Materialized best — observer mode.
-    Snapshot(Circuit),
+/// largest. The driver instead journals every accepted patch and
+/// remembers *how many* of them lead to the best: the best circuit is
+/// materialized once, in [`ShardDriver::finish`], by replaying that
+/// prefix onto the base snapshot. At every strict improvement the
+/// working circuit *is* the best, so an event sink is handed the
+/// working circuit, and the `Improved` delta is the journal's suffix
+/// past the previous best.
+struct BestJournal {
     /// `base` + `ops[..ops_at_best]` replays to the best circuit; while
     /// `live`, `base` + `ops[..]` replays to the current working
     /// circuit, so a strict improvement is recorded by bumping
     /// `ops_at_best` — O(1) instead of O(circuit).
-    Journal {
-        base: Circuit,
-        ops: Vec<Patch>,
-        ops_at_best: usize,
-        /// Cleared when the op trail stops tracking the working circuit
-        /// (journal overflow, or a wholesale circuit replacement whose
-        /// edit has no patch form). The best-prefix stays valid;
-        /// journaling resumes at the next strict improvement via an
-        /// O(circuit) re-anchor.
-        live: bool,
-    },
+    base: Circuit,
+    ops: Vec<Patch>,
+    ops_at_best: usize,
+    /// Cleared when the op trail stops tracking the working circuit
+    /// (a backlog past [`PENDING_OPS_CAP`], or a wholesale circuit
+    /// replacement whose edit has no patch form). The best-prefix stays
+    /// valid; journaling resumes at the next strict improvement via an
+    /// O(circuit) re-anchor.
+    live: bool,
 }
 
-impl BestRepr {
-    /// Materializes the best circuit (consuming the representation).
-    fn into_circuit(self) -> Circuit {
-        match self {
-            BestRepr::Snapshot(c) => c,
-            BestRepr::Journal {
-                base,
-                ops,
-                ops_at_best,
-                ..
-            } => {
-                let mut c = base;
-                for op in &ops[..ops_at_best] {
-                    c.apply_patch(op);
-                }
-                c
-            }
+impl BestJournal {
+    fn new(base: Circuit) -> Self {
+        BestJournal {
+            base,
+            ops: Vec::new(),
+            ops_at_best: 0,
+            live: true,
         }
     }
+
+    /// Records an accepted patch (a no-op once the trail is dead).
+    fn record(&mut self, op: Patch) {
+        if !self.live {
+            return;
+        }
+        if self.ops.len() - self.ops_at_best >= PENDING_OPS_CAP {
+            self.invalidate();
+            return;
+        }
+        if self.ops.len() >= BEST_JOURNAL_CAP {
+            // The backlog past the best is under PENDING_OPS_CAP, so
+            // folding the best-prefix into the base frees almost all of
+            // the journal while the trail stays live.
+            for op in self.ops.drain(..self.ops_at_best) {
+                self.base.apply_patch(&op);
+            }
+            self.ops_at_best = 0;
+        }
+        self.ops.push(op);
+    }
+
+    /// Stops the op trail (it no longer replays to the working
+    /// circuit); the best-prefix stays valid.
+    fn invalidate(&mut self) {
+        self.ops.truncate(self.ops_at_best);
+        self.live = false;
+    }
+
+    /// The accepted ops since the best, when the trail still has them.
+    fn since_best(&self) -> Option<&[Patch]> {
+        self.live.then(|| &self.ops[self.ops_at_best..])
+    }
+
+    /// Marks `working` — the current working circuit — as the best: one
+    /// store while the trail is live, an O(circuit) re-anchor otherwise.
+    fn mark_best(&mut self, working: &Circuit) {
+        if self.live {
+            self.ops_at_best = self.ops.len();
+        } else {
+            *self = BestJournal::new(working.clone());
+        }
+    }
+
+    /// Materializes the best circuit without consuming the journal
+    /// (O(circuit): the before side of a diffed `Improved` delta).
+    fn best(&self) -> Circuit {
+        replay(self.base.clone(), &self.ops[..self.ops_at_best])
+    }
+
+    /// Materializes the best circuit (consuming the journal).
+    fn into_best(self) -> Circuit {
+        replay(self.base, &self.ops[..self.ops_at_best])
+    }
+}
+
+fn replay(mut c: Circuit, ops: &[Patch]) -> Circuit {
+    for op in ops {
+        c.apply_patch(op);
+    }
+    c
 }
 
 /// Lines 10–12 of Algorithm 1: accept every cost-non-increasing move,
@@ -139,7 +188,10 @@ pub struct ShardDriver<'c> {
     cost_curr: f64,
     err_curr: f64,
     eps_budget: f64,
-    best: BestRepr,
+    best: BestJournal,
+    /// Length of the best circuit — the base of the next `Improved`
+    /// delta's op chain.
+    best_len: usize,
     cost_best: f64,
     err_best: f64,
     iterations: u64,
@@ -159,15 +211,9 @@ pub struct ShardDriver<'c> {
     cancel: Option<CancelToken>,
     /// Event sink: receives an [`OptEvent::Improved`] each time the
     /// best-so-far cost strictly decreases (the event-sourced API's
-    /// streaming hook), alongside the new best circuit.
+    /// streaming hook), alongside the working circuit — which is the
+    /// new best at that instant.
     on_event: Option<&'c mut EventSink<'c>>,
-    /// Accepted edits since the last strict improvement — the raw
-    /// material of the next `Improved` delta (only maintained while an
-    /// event sink is installed).
-    pending: Vec<Patch>,
-    /// True once `pending` overflowed [`PENDING_OPS_CAP`]; the next
-    /// improvement diffs before/after circuits instead.
-    pending_overflow: bool,
     /// Whether telemetry clock reads are live ([`qtrace::enabled`],
     /// sampled once at construction so the hot loop branches on a local
     /// bool, not a global atomic).
@@ -239,12 +285,8 @@ impl<'c> ShardDriver<'c> {
             });
         }
         ShardDriver {
-            best: BestRepr::Journal {
-                base: circuit.clone(),
-                ops: Vec::new(),
-                ops_at_best: 0,
-                live: true,
-            },
+            best: BestJournal::new(circuit.clone()),
+            best_len: circuit.len(),
             cost,
             ctx: SearchCtx::with_scratch(circuit, opts.dirty_window_bias, scratch),
             cost_curr: c0,
@@ -263,8 +305,6 @@ impl<'c> ShardDriver<'c> {
             started,
             cancel: opts.cancel.clone(),
             on_event: None,
-            pending: Vec::new(),
-            pending_overflow: false,
             instrument: qtrace::enabled(),
             t_init: Instant::now(),
             slow_ns: 0,
@@ -318,52 +358,12 @@ impl<'c> ShardDriver<'c> {
 
     /// Installs an event sink (see [`crate::observe`]): the driver
     /// emits an [`OptEvent::Improved`] — with its delta from the
-    /// previous best — on every strict best-cost improvement. Observer
-    /// mode needs the materialized best on every improvement, so the
-    /// best-so-far switches to its snapshot representation.
+    /// previous best — on every strict best-cost improvement. The best
+    /// stays journaled either way; the sink is handed the working
+    /// circuit, which equals the best at every `Improved`.
     pub fn with_event_sink(mut self, on_event: Option<&'c mut EventSink<'c>>) -> Self {
-        if on_event.is_some() {
-            let best = std::mem::replace(&mut self.best, BestRepr::Snapshot(Circuit::new(0)));
-            self.best = BestRepr::Snapshot(best.into_circuit());
-        }
         self.on_event = on_event;
         self
-    }
-
-    /// The materialized best in observer mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the best is journaled (no sink installed).
-    fn best_snapshot(&self) -> &Circuit {
-        match &self.best {
-            BestRepr::Snapshot(c) => c,
-            BestRepr::Journal { .. } => {
-                unreachable!("observer mode keeps the best materialized")
-            }
-        }
-    }
-
-    /// Stops the journal's op trail (it no longer replays to the
-    /// working circuit); the best-prefix stays valid and journaling
-    /// resumes at the next strict improvement.
-    fn invalidate_journal(&mut self) {
-        if let BestRepr::Journal {
-            ops,
-            ops_at_best,
-            live,
-            ..
-        } = &mut self.best
-        {
-            ops.truncate(*ops_at_best);
-            *live = false;
-        }
-    }
-
-    /// True when accepted patches must be journaled to keep the op
-    /// trail replaying to the working circuit.
-    fn journal_live(&self) -> bool {
-        matches!(&self.best, BestRepr::Journal { live: true, .. })
     }
 
     /// Pins anchor-bias windows on the underlying [`SearchCtx`] (the
@@ -596,14 +596,9 @@ impl<'c> ShardDriver<'c> {
                 iterations: self.iterations,
                 seconds: self.started.elapsed().as_secs_f64(),
             };
-            let best = match &self.best {
-                BestRepr::Snapshot(c) => c,
-                BestRepr::Journal { .. } => {
-                    unreachable!("observer mode keeps the best materialized")
-                }
-            };
+            // Pinned just above: the working circuit is the best.
             if let Some(obs) = self.on_event.as_mut() {
-                obs(&event, best);
+                obs(&event, self.ctx.circuit());
             }
         }
         true
@@ -664,28 +659,19 @@ impl<'c> ShardDriver<'c> {
             self.fam[fam.index()].rejects += 1;
             return false;
         }
-        let op = (self.on_event.is_some() || self.journal_live()).then(|| pa.patch.clone());
         self.ctx.commit(&pa.patch);
-        self.record_accept(cost_new, pa.epsilon, fam, op);
+        self.record_accept(cost_new, pa.epsilon, fam, Some(pa.patch));
         true
     }
 
     /// True when the recorded best-so-far replays to the working
     /// circuit (no accepts since the last publication).
     fn best_is_current(&self) -> bool {
-        match &self.best {
-            BestRepr::Snapshot(_) => self.pending.is_empty() && !self.pending_overflow,
-            BestRepr::Journal {
-                ops,
-                ops_at_best,
-                live,
-                ..
-            } => *live && ops.len() == *ops_at_best,
-        }
+        self.best.since_best().is_some_and(|ops| ops.is_empty())
     }
 
     /// Emits an [`OptEvent::Stats`] heartbeat carrying the current
-    /// profile snapshot (observer mode only). Side-channel only: it
+    /// profile snapshot (event sink installed only). Side-channel only: it
     /// never touches the RNG, the cost tallies, or the delta stream.
     fn emit_stats(&mut self) {
         let event = OptEvent::Stats {
@@ -725,36 +711,27 @@ impl<'c> ShardDriver<'c> {
             self.fam[fam.index()].rejects += 1;
             return;
         }
-        // The accepted patch *is* the event-stream / best-journal op —
-        // clone it only when a sink or a live journal will consume it
-        // (an O(edit span) copy, never O(circuit)).
-        let op = (self.on_event.is_some() || self.journal_live()).then(|| pa.patch.clone());
+        // The accepted patch *is* the best-journal op (and so the
+        // raw material of the next `Improved` delta).
         self.ctx.commit(&pa.patch);
-        self.record_accept(cost_new, pa.epsilon, fam, op);
+        self.record_accept(cost_new, pa.epsilon, fam, Some(pa.patch));
     }
 
     /// Acceptance for a fully materialized candidate (patch-less
     /// transformations, the clone–rebuild baseline, and async
     /// resynthesis results): replaces the working circuit wholesale.
-    /// There is no local op to record for the event stream — a
-    /// whole-circuit replacement per accept would make the next delta
-    /// O(accepts × circuit) — so the op trail is abandoned and the
-    /// next `Improved` packages a single before/after diff instead
-    /// (one op, never larger than a full snapshot).
+    /// There is no local op to journal — a whole-circuit replacement
+    /// per accept would make the next delta O(accepts × circuit) — so
+    /// the op trail is abandoned and the next `Improved` packages a
+    /// single before/after diff instead (one op, never larger than a
+    /// full snapshot).
     fn consider_full(&mut self, applied: Applied, fam: Family, rng: &mut SmallRng) {
         let cost_new = self.cost.cost(&applied.circuit);
         if !metropolis_accepts(cost_new, self.cost_curr, self.temperature, rng) {
             self.fam[fam.index()].rejects += 1;
             return;
         }
-        if self.on_event.is_some() {
-            self.pending.clear();
-            self.pending_overflow = true;
-        } else {
-            // A wholesale replacement has no patch form; the journal's
-            // op trail can no longer track the working circuit.
-            self.invalidate_journal();
-        }
+        self.best.invalidate();
         self.ctx.replace_circuit(applied.circuit);
         self.record_accept(cost_new, applied.epsilon, fam, None);
     }
@@ -768,31 +745,7 @@ impl<'c> ShardDriver<'c> {
         self.cost_curr = cost_new;
         self.err_curr += epsilon;
         if let Some(op) = op {
-            if self.on_event.is_some() {
-                if self.pending.len() >= PENDING_OPS_CAP {
-                    // Cap the backlog: forget the op trail and diff
-                    // before/after at the next improvement instead.
-                    self.pending.clear();
-                    self.pending_overflow = true;
-                } else {
-                    self.pending.push(op);
-                }
-            } else if let BestRepr::Journal {
-                ops,
-                ops_at_best,
-                live: live @ true,
-                ..
-            } = &mut self.best
-            {
-                if ops.len() >= BEST_JOURNAL_CAP {
-                    // Cap the backlog: keep the best-prefix, stop
-                    // journaling, re-anchor at the next improvement.
-                    ops.truncate(*ops_at_best);
-                    *live = false;
-                } else {
-                    ops.push(op);
-                }
-            }
+            self.best.record(op);
         }
         if self.cost_curr < self.cost_best {
             self.last_improve_iter = self.iterations;
@@ -819,27 +772,19 @@ impl<'c> ShardDriver<'c> {
                 best_two_qubit: self.ctx.circuit().two_qubit_count(),
             });
         }
-        if self.on_event.is_some() {
-            // The delta is built against the *previous* best —
-            // exactly the accepted ops since that improvement (the
-            // working circuit and the best coincide at every
-            // improvement, so the op chain replays previous best →
-            // new best).
-            let delta = if self.pending_overflow {
-                self.pending_overflow = false;
-                // Ops accepted after the overflow are inside the
-                // diffed span; drop them with the rest.
-                self.pending.clear();
-                CircuitDelta::diff(self.best_snapshot(), self.ctx.circuit())
-            } else {
-                CircuitDelta::from_ops(
-                    self.best_snapshot().len(),
-                    std::mem::take(&mut self.pending),
-                )
-            };
-            // Observer mode pays the O(circuit) snapshot: the sink
-            // is handed the materialized best on every improvement.
-            self.best = BestRepr::Snapshot(self.ctx.circuit().clone());
+        // The delta is built against the *previous* best: the ops
+        // journaled since it while the trail is live, else a
+        // before/after diff against the journal's best-prefix.
+        let delta = self
+            .on_event
+            .is_some()
+            .then(|| match self.best.since_best() {
+                Some(ops) => CircuitDelta::from_ops(self.best_len, ops.to_vec()),
+                None => CircuitDelta::diff(&self.best.best(), self.ctx.circuit()),
+            });
+        self.best.mark_best(self.ctx.circuit());
+        self.best_len = self.ctx.circuit().len();
+        if let Some(delta) = delta {
             let event = OptEvent::Improved {
                 delta,
                 cost: self.cost_best,
@@ -847,34 +792,8 @@ impl<'c> ShardDriver<'c> {
                 iterations: self.iterations,
                 seconds: self.started.elapsed().as_secs_f64(),
             };
-            let best = match &self.best {
-                BestRepr::Snapshot(c) => c,
-                BestRepr::Journal { .. } => unreachable!(),
-            };
             if let Some(obs) = self.on_event.as_mut() {
-                obs(&event, best);
-            }
-        } else {
-            match &mut self.best {
-                // The journal already replays to the working
-                // circuit: recording the new best is one store.
-                BestRepr::Journal {
-                    ops,
-                    ops_at_best,
-                    live: true,
-                    ..
-                } => *ops_at_best = ops.len(),
-                // Dead journal (overflow or wholesale replacement):
-                // re-anchor on the improved circuit — the one
-                // O(circuit) snapshot those paths amortize.
-                _ => {
-                    self.best = BestRepr::Journal {
-                        base: self.ctx.circuit().clone(),
-                        ops: Vec::new(),
-                        ops_at_best: 0,
-                        live: true,
-                    }
-                }
+                obs(&event, self.ctx.circuit());
             }
         }
     }
@@ -912,9 +831,9 @@ impl<'c> ShardDriver<'c> {
         // per-result `Profile` stays a per-run delta.
         profile.flush_to_registry();
         let result = GuoqResult {
-            // Journal mode materializes the best exactly once, here:
-            // the base snapshot replayed through the best-prefix ops.
-            circuit: self.best.into_circuit(),
+            // The best is materialized exactly once, here: the base
+            // snapshot replayed through the best-prefix ops.
+            circuit: self.best.into_best(),
             cost: self.cost_best,
             epsilon: self.err_best,
             iterations: self.iterations,
@@ -930,5 +849,223 @@ impl<'c> ShardDriver<'c> {
             certificate,
         };
         (result, self.ctx.into_scratch())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cost::GateCount;
+    use crate::guoq::{Budget, Guoq};
+    use qcir::{Gate, Instruction};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+    /// Leading `H q0` pairs (what [`Cancel`] removes), then `FILLER`
+    /// single-qubit gates on q1 (what [`Toggle`] rewrites).
+    const PAIRS: usize = 60;
+    const FILLER: usize = 40;
+
+    fn input() -> Circuit {
+        let mut c = Circuit::new(2);
+        for _ in 0..2 * PAIRS {
+            c.push(Gate::H, &[0]);
+        }
+        for _ in 0..FILLER {
+            c.push(Gate::X, &[1]);
+        }
+        c
+    }
+
+    /// A cost-neutral move that still changes the circuit: flips one
+    /// filler gate between `X` and `Z`. Always accepted, so it fills
+    /// the journal between improvements.
+    struct Toggle;
+
+    impl Transformation for Toggle {
+        fn name(&self) -> &str {
+            "toggle"
+        }
+        fn epsilon(&self) -> f64 {
+            0.0
+        }
+        fn apply(&self, _: &Circuit, _: &mut SmallRng) -> Option<Applied> {
+            None
+        }
+        fn supports_patches(&self) -> bool {
+            true
+        }
+        fn apply_patch(&self, ctx: &mut SearchCtx, rng: &mut SmallRng) -> Option<PatchApplied> {
+            let c = ctx.circuit();
+            let p = rng.random_range(c.len() - FILLER..c.len());
+            let flipped = match c.instruction(p).gate {
+                Gate::X => Gate::Z,
+                _ => Gate::X,
+            };
+            Some(PatchApplied {
+                patch: Patch::new(vec![p], vec![Instruction::new(flipped, &[1])], p),
+                epsilon: 0.0,
+            })
+        }
+    }
+
+    /// Removes the leading `H H` pair on the calls `fires` picks — a
+    /// patch when `patches`, else a whole replacement circuit (the
+    /// driver's `consider_full` path).
+    struct Cancel {
+        calls: AtomicU64,
+        fires: fn(u64) -> bool,
+        patches: bool,
+    }
+
+    impl Cancel {
+        fn fire(&self, c: &Circuit) -> bool {
+            let n = self.calls.fetch_add(1, Relaxed);
+            (self.fires)(n) && c.len() > FILLER
+        }
+    }
+
+    impl Transformation for Cancel {
+        fn name(&self) -> &str {
+            "cancel"
+        }
+        fn epsilon(&self) -> f64 {
+            0.0
+        }
+        fn apply(&self, c: &Circuit, _: &mut SmallRng) -> Option<Applied> {
+            self.fire(c).then(|| Applied {
+                circuit: c.with_patch(&Patch::new(vec![0, 1], Vec::new(), 0)),
+                epsilon: 0.0,
+            })
+        }
+        fn supports_patches(&self) -> bool {
+            self.patches
+        }
+        fn apply_patch(&self, ctx: &mut SearchCtx, _: &mut SmallRng) -> Option<PatchApplied> {
+            self.fire(ctx.circuit()).then(|| PatchApplied {
+                patch: Patch::new(vec![0, 1], Vec::new(), 0),
+                epsilon: 0.0,
+            })
+        }
+    }
+
+    /// Runs the scripted search with and without a sink, checks at
+    /// every `Improved` that the sink's circuit equals the replay of
+    /// every delta so far, and returns the op count of each delta with
+    /// the iteration gap since the previous improvement.
+    fn replayed_improvements(cancel: Cancel, iterations: u64) -> Vec<(usize, u64)> {
+        let guoq = |cancel| {
+            let fast: Vec<Box<dyn Transformation>> = vec![Box::new(Toggle), Box::new(cancel)];
+            let opts = GuoqOpts {
+                budget: Budget::Iterations(iterations),
+                seed: 5,
+                ..Default::default()
+            };
+            Guoq::new(fast, Vec::new(), opts)
+        };
+        let c = input();
+        let mut replay = c.clone();
+        let mut last_iter = 0;
+        let mut seen = Vec::new();
+        let fires = cancel.fires;
+        let patches = cancel.patches;
+        let observed = guoq(cancel).optimize_events(&c, &GateCount, &mut |ev, best| {
+            if let OptEvent::Improved {
+                delta, iterations, ..
+            } = ev
+            {
+                delta
+                    .apply(&mut replay)
+                    .expect("delta applies to the prior best");
+                assert_eq!(&replay, best, "sink circuit diverged from the delta replay");
+                seen.push((delta.ops().len(), iterations - last_iter));
+                last_iter = *iterations;
+            }
+        });
+        assert_eq!(replay, observed.circuit);
+        let direct = guoq(Cancel {
+            calls: AtomicU64::new(0),
+            fires,
+            patches,
+        })
+        .optimize(&c, &GateCount);
+        assert_eq!(
+            observed.circuit, direct.circuit,
+            "the sink perturbed the search"
+        );
+        assert_eq!(observed.accepted, direct.accepted);
+        seen
+    }
+
+    #[test]
+    fn sink_circuit_matches_delta_replay_across_overflow_and_compaction() {
+        // Quick improvements (op-chain deltas), one long plateau past
+        // PENDING_OPS_CAP (a diffed delta), then ~700 accepts per
+        // improvement until the journal passes BEST_JOURNAL_CAP and
+        // compacts.
+        let cancel = Cancel {
+            calls: AtomicU64::new(0),
+            fires: |n| n < 40 && n % 5 == 4 || n == 6000 || n > 6000 && n % 700 == 0,
+            patches: true,
+        };
+        let seen = replayed_improvements(cancel, 90_000);
+        assert!(
+            seen.iter().any(|&(ops, _)| ops > 1),
+            "no op-chain delta: {seen:?}"
+        );
+        assert!(
+            seen.iter()
+                .any(|&(ops, gap)| ops == 1 && gap > 2 * PENDING_OPS_CAP as u64),
+            "no diffed delta after an overflowing plateau: {seen:?}"
+        );
+        assert_eq!(seen.len(), PAIRS, "every pair is cancelled: {seen:?}");
+    }
+
+    #[test]
+    fn sink_circuit_matches_delta_replay_after_whole_circuit_accepts() {
+        // The improving move has no patch form: each accept replaces
+        // the working circuit, kills the op trail, and the next
+        // `Improved` diffs against the journal's best-prefix.
+        let cancel = Cancel {
+            calls: AtomicU64::new(0),
+            fires: |n| n % 50 == 49,
+            patches: false,
+        };
+        let seen = replayed_improvements(cancel, 4_000);
+        assert!(seen.len() > 10, "{seen:?}");
+        assert!(seen.iter().all(|&(ops, _)| ops == 1), "{seen:?}");
+    }
+}
+
+#[cfg(test)]
+mod journal_tests {
+    use super::*;
+    use qcir::{Gate, Instruction};
+
+    #[test]
+    fn journal_compacts_past_its_cap_and_still_replays_the_best() {
+        // Every op appends a distinct gate, so a fold that dropped or
+        // reordered any op would change the replayed best.
+        let mut working = Circuit::new(1);
+        let mut journal = BestJournal::new(working.clone());
+        let mut best = working.clone();
+        for n in 0..BEST_JOURNAL_CAP + 5000 {
+            let g = Instruction::new(Gate::Rz(n as f64), &[0]);
+            let op = Patch::new(vec![], vec![g], working.len());
+            working.apply_patch(&op);
+            journal.record(op);
+            if n % 1000 == 999 {
+                journal.mark_best(&working);
+                best = working.clone();
+            }
+            assert!(journal.live, "the backlog stays under PENDING_OPS_CAP");
+        }
+        assert!(
+            journal.ops.len() < BEST_JOURNAL_CAP,
+            "the journal never compacted"
+        );
+        assert_eq!(journal.best(), best);
+        let tail = (BEST_JOURNAL_CAP + 5000) % 1000;
+        assert_eq!(journal.since_best().map(<[Patch]>::len), Some(tail));
+        assert_eq!(journal.into_best(), best);
     }
 }

@@ -59,7 +59,7 @@
 
 use crate::cost::CostFn;
 use crate::driver::ShardDriver;
-use crate::observe::{BestSnapshot, CancelToken, EventSink, OptEvent, OptRun};
+use crate::observe::{CancelToken, EventSink, OptEvent, OptRun};
 use crate::transform::{
     Applied, CleanupPass, CommutationPass, FusionPass, ResynthPass, RulePass, Transformation,
 };
@@ -387,8 +387,13 @@ impl Guoq {
     /// [`qcir::delta::CircuitDelta`] from the previous best) per strict
     /// improvement from all four engines, `EpochCommitted` heartbeats
     /// from the sharded engine, `CacheStats`, and `Finished`. The
-    /// second argument is the best-so-far circuit at the event, for
-    /// sinks that serve full snapshots without replaying deltas.
+    /// second argument is the circuit the event describes, for sinks
+    /// that serve full snapshots without replaying deltas: the input at
+    /// `Started`, the new best at `Improved` and `Certified` (the serial
+    /// engines hand over their working circuit, which *is* the best at
+    /// those two events — no copy is made), the best so far at
+    /// `EpochCommitted`, the working circuit at `Stats`, and the final
+    /// best at `CacheStats` and `Finished`.
     ///
     /// The returned result is identical to [`Self::optimize`] under the
     /// same options — observation never perturbs the search trajectory.
@@ -442,40 +447,6 @@ impl Guoq {
             });
         });
         OptRun::new(rx, cancel, handle)
-    }
-
-    /// **Legacy shim** over the event stream: `on_best` is invoked with
-    /// a borrowed [`crate::observe::BestSnapshot`] for every
-    /// [`OptEvent::Improved`]. Kept so pre-event-stream callers keep
-    /// compiling; new consumers should use [`Self::optimize_events`] or
-    /// [`Self::run`] and take the typed events (deltas included). The
-    /// final result is identical to [`Self::optimize`] under the same
-    /// options — observation never perturbs the search trajectory.
-    pub fn optimize_observed(
-        &self,
-        circuit: &Circuit,
-        cost: &dyn CostFn,
-        on_best: &mut dyn FnMut(&BestSnapshot<'_>),
-    ) -> GuoqResult {
-        let mut adapter = |ev: &OptEvent, best: &Circuit| {
-            if let OptEvent::Improved {
-                cost,
-                epsilon,
-                iterations,
-                seconds,
-                ..
-            } = *ev
-            {
-                on_best(&BestSnapshot {
-                    circuit: best,
-                    cost,
-                    epsilon,
-                    iterations,
-                    seconds,
-                });
-            }
-        };
-        self.dispatch(circuit, cost, Some(&mut adapter))
     }
 
     /// Sum of the slow passes' (cache hit, cache miss) counters.
@@ -894,12 +865,14 @@ mod tests {
 
         let mut costs: Vec<f64> = Vec::new();
         let mut last: Option<Circuit> = None;
-        let observed = Guoq::rewrite_only(GateSet::Nam, opts(400)).optimize_observed(
+        let observed = Guoq::rewrite_only(GateSet::Nam, opts(400)).optimize_events(
             &c,
             &GateCount,
-            &mut |snap| {
-                costs.push(snap.cost);
-                last = Some(snap.circuit.clone());
+            &mut |ev, best| {
+                if let OptEvent::Improved { cost, .. } = ev {
+                    costs.push(*cost);
+                    last = Some(best.clone());
+                }
             },
         );
 
@@ -935,8 +908,12 @@ mod tests {
             ..Default::default()
         };
         let mut costs: Vec<f64> = Vec::new();
-        let r = Guoq::rewrite_only(GateSet::Nam, o)
-            .optimize_observed(&c, &GateCount, &mut |s| costs.push(s.cost));
+        let r =
+            Guoq::rewrite_only(GateSet::Nam, o).optimize_events(&c, &GateCount, &mut |ev, _| {
+                if let OptEvent::Improved { cost, .. } = ev {
+                    costs.push(*cost);
+                }
+            });
         assert!(!costs.is_empty());
         for w in costs.windows(2) {
             assert!(w[1] < w[0]);
@@ -967,7 +944,11 @@ mod tests {
         let t = token.clone();
         // Cancel from the observer after the first improvement: the run
         // must wind down promptly instead of spinning forever.
-        let r = g.optimize_observed(&c, &GateCount, &mut move |_| t.cancel());
+        let r = g.optimize_events(&c, &GateCount, &mut move |ev, _| {
+            if let OptEvent::Improved { .. } = ev {
+                t.cancel();
+            }
+        });
         assert!(r.iterations > 0);
         assert!(r.cost < c.len() as f64);
         assert!(qsim::circuits_equivalent(&c, &r.circuit, 1e-6));

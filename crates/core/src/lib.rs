@@ -15,8 +15,8 @@
 //!   [`OptEvent`]s with [`qcir::delta::CircuitDelta`] payloads, the
 //!   [`OptRun`] handle ([`Guoq::run`]), the synchronous sink
 //!   ([`Guoq::optimize_events`]), cooperative cancellation
-//!   ([`CancelToken`]), and the legacy [`BestSnapshot`] shim — the
-//!   hooks the `qserve` service layer builds on
+//!   ([`CancelToken`]) — the hooks the `qserve` service layer builds
+//!   on
 //! * [`sharded`]: the region-partitioned parallel engine
 //!   ([`Engine::Sharded`]) over the `qpar` worker pool
 //! * [`baselines`]: re-implemented archetypes of the comparison tools
@@ -49,7 +49,7 @@ pub use cost::CostFn;
 pub use driver::ShardDriver;
 pub use fidelity::CalibrationModel;
 pub use guoq::{Budget, Engine, Guoq, GuoqOpts, GuoqResult, HistoryPoint};
-pub use observe::{BestSnapshot, CancelToken, OptEvent, OptRun};
+pub use observe::{CancelToken, OptEvent, OptRun};
 pub use qcache::{CacheStats, QCache, QCacheOpts};
 pub use qcert::{CertMap, Certificate, Stamp};
 pub use qpar::WorkerStats;

@@ -33,21 +33,22 @@
 //!
 //! * **Synchronous sink** — [`Guoq::optimize_events`](crate::Guoq::optimize_events)
 //!   invokes a callback `FnMut(&OptEvent, &Circuit)` inline on the
-//!   search (or coordinator) thread; the second argument is the
-//!   best-so-far circuit at that event, so consumers that want full
-//!   snapshots (a v1 wire peer, the legacy
-//!   [`BestSnapshot`] shim) need not replay deltas themselves. An
+//!   search (or coordinator) thread. The second argument is the circuit
+//!   the event describes (see [`EventSink`]); at `Improved` and
+//!   `Certified` it is the new best, so consumers that want full
+//!   snapshots (a v1 wire peer, a checkpoint) need not replay deltas
+//!   themselves. The serial engines hand over their *working* circuit
+//!   there — it equals the best at those events — so observation costs
+//!   no copy of the circuit; a sink that keeps it must clone it. An
 //!   expensive sink slows the search — hand events off (serialize and
 //!   push into a bounded channel) rather than doing I/O inline.
 //! * **Handle** — [`Guoq::run`](crate::Guoq::run) spawns the search on
 //!   a worker thread and returns an [`OptRun`] that yields owned
 //!   events ([`Iterator`]); the consumer paces the stream.
 //!
-//! The pre-event API survives as thin shims:
-//! [`Guoq::optimize`](crate::Guoq::optimize) ignores the stream and
-//! [`Guoq::optimize_observed`](crate::Guoq::optimize_observed) adapts
-//! `Improved` events back into borrowed [`BestSnapshot`]s. Both are
-//! kept for compatibility; new consumers should take the stream.
+//! [`Guoq::optimize`](crate::Guoq::optimize) is the blocking
+//! convenience that ignores the stream; its result is identical to the
+//! event-sourced run's under the same options.
 //!
 //! Strict improvements are bounded by the total cost descent — not the
 //! accept rate — so event traffic is small even for long runs, and the
@@ -163,28 +164,12 @@ impl OptEvent {
     }
 }
 
-/// One strict-improvement notification of the **legacy** observer API:
-/// a borrowed view of the new best-so-far circuit and the search
-/// counters at that instant. Kept so pre-event-stream callers
-/// ([`crate::Guoq::optimize_observed`]) keep compiling; it is now an
-/// adapter over [`OptEvent::Improved`].
-#[derive(Debug, Clone, Copy)]
-pub struct BestSnapshot<'a> {
-    /// The new best circuit (borrowed — clone or serialize to keep it).
-    pub circuit: &'a Circuit,
-    /// Its cost under the search objective.
-    pub cost: f64,
-    /// Accumulated approximation error of this circuit (≤ `ε_f`).
-    pub epsilon: f64,
-    /// Iterations performed when the improvement landed.
-    pub iterations: u64,
-    /// Seconds since the search started.
-    pub seconds: f64,
-}
-
 /// The synchronous event sink's trait-object type: invoked with each
-/// [`OptEvent`] and the best-so-far circuit at that event (the input
-/// circuit for `Started`, the final best for `CacheStats`/`Finished`).
+/// [`OptEvent`] and the circuit that event describes — the input for
+/// `Started`; the new best for `Improved` and `Certified` (the serial
+/// engines' working circuit, which equals the best at those events);
+/// the best so far for `EpochCommitted`; the working circuit for
+/// `Stats`; the final best for `CacheStats`/`Finished`.
 /// Passed around as `&mut EventSink<'_>` — the borrow and the captured
 /// state share one lifetime, which keeps `&mut`-invariance from
 /// infecting every signature it threads through.

@@ -651,11 +651,10 @@ impl ResynthPass {
     /// the spot cannot support a useful resynthesis.
     pub fn region_at(&self, circuit: &Circuit, anchor: usize) -> Option<Region> {
         let region = Region::grow(circuit, anchor, self.max_qubits)?;
-        // A region with fewer than 2 member gates cannot shrink.
-        if region.member_indices(circuit).len() < 2 {
-            return None;
-        }
-        Some(region)
+        // A region with fewer than 2 member gates cannot shrink. `grow`
+        // trims its window to start and end on member gates, so that is
+        // exactly a one-position window — no member walk needed.
+        (region.lo() < region.hi()).then_some(region)
     }
 
     /// Resynthesizes the region's subcircuit; returns the replacement.

@@ -1235,7 +1235,10 @@ impl ImprovementStream {
         cancel: &CancelToken,
         journal: &mut Option<JobJournal>,
     ) {
-        let snapshot = || Frame::Snapshot {
+        // A journal checkpoint and a client checkpoint often land on
+        // the same improvement: render the QASM at most once and share
+        // the frame (the journal borrows it, the client send takes it).
+        let render = || Frame::Snapshot {
             id,
             cost,
             epsilon,
@@ -1243,6 +1246,7 @@ impl ImprovementStream {
             seconds,
             qasm: qasm::to_qasm_line(best),
         };
+        let mut snapshot: Option<Frame> = None;
         let delta_frame = |seq: u64| Frame::Delta {
             id,
             seq,
@@ -1261,9 +1265,9 @@ impl ImprovementStream {
                 // Resync after a failed append: the replayable suffix
                 // must restart absolutely, behind a terminator that
                 // closes any torn partial line the failure left.
-                j.append_resync(&snapshot())
+                j.append_resync(snapshot.get_or_insert_with(render))
             } else if self.journal_since_checkpoint >= self.checkpoint_every {
-                j.append_synced(&snapshot())
+                j.append_synced(snapshot.get_or_insert_with(render))
             } else {
                 self.journal_seq += 1;
                 j.append(&delta_frame(self.journal_seq))
@@ -1290,7 +1294,7 @@ impl ImprovementStream {
             let want_full =
                 self.needs_resync || self.client_since_checkpoint >= self.checkpoint_every;
             if want_full {
-                if send_snapshot(reply, cancel, snapshot()) {
+                if send_snapshot(reply, cancel, snapshot.take().unwrap_or_else(render)) {
                     self.needs_resync = false;
                     self.client_since_checkpoint = 0;
                 } else {
@@ -1305,7 +1309,7 @@ impl ImprovementStream {
                 self.needs_resync = true;
             }
         } else {
-            let _ = send_snapshot(reply, cancel, snapshot());
+            let _ = send_snapshot(reply, cancel, snapshot.unwrap_or_else(render));
         }
     }
 }
